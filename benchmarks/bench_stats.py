@@ -3,8 +3,9 @@
 Compares fixed-batch yield estimation (the paper's flat 1000 samples per
 sweep point) against the adaptive chunked estimator (draw spawn-seeded
 chunks until the Wilson CI half-width reaches a target) on the Fig. 4
-size sweep, and the O(batch) monolithic sampler against the O(chunk)
-streaming sampler on peak memory.  Writes the measurements to
+size sweep, and the O(batch) legacy single-draw plan against the
+O(chunk) streaming plan on peak memory — all three are sampling plans
+of :func:`repro.core.yield_model.simulate_yield_point`.  Writes the measurements to
 ``benchmarks/BENCH_stats.json``.
 
 The headline numbers this records:
@@ -22,14 +23,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from repro.core.collisions import collision_free_mask
-from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import allocate_heavy_hex_frequencies
-from repro.core.yield_model import (
-    materialize_seeded_batch,
-    simulate_yield_adaptive,
-    simulate_yield_streaming,
-)
+from repro.core.sample_bank import set_sample_bank_enabled
+from repro.core.yield_model import simulate_yield_point
 from repro.stats import samples_for_half_width
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
@@ -49,32 +44,26 @@ MEMORY_CHUNK = 500
 MEMORY_SIZE = 100
 
 
-def _allocation(size: int):
-    from repro.core.frequencies import FrequencySpec
-
-    return allocate_heavy_hex_frequencies(
-        heavy_hex_by_qubit_count(size), spec=FrequencySpec(step_ghz=STEP_GHZ)
+def _point(size: int, lattice=None, **stats):
+    return simulate_yield_point(
+        SIGMA_GHZ, STEP_GHZ, size, seed=SEED,
+        lattice=lattice or heavy_hex_by_qubit_count(size), **stats
     )
 
 
 def test_adaptive_reaches_target_with_fewer_samples():
     """Adaptive sampling hits the 0.02 CI target below the fixed budget on
     the tail points, and the JSON artifact records the whole sweep."""
-    fabrication = FabricationModel(SIGMA_GHZ)
     points = []
     for size in SIZES:
-        allocation = _allocation(size)
+        lattice = heavy_hex_by_qubit_count(size)
         started = time.perf_counter()
-        fixed = simulate_yield_streaming(
-            allocation, fabrication,
-            batch_size=FIXED_BATCH, chunk_size=CHUNK_SIZE, seed=SEED,
-        )
+        fixed = _point(size, lattice, batch_size=FIXED_BATCH, chunk_size=CHUNK_SIZE)
         fixed_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        adaptive = simulate_yield_adaptive(
-            allocation, fabrication,
-            ci_target=CI_TARGET, max_samples=MAX_SAMPLES,
-            chunk_size=CHUNK_SIZE, seed=SEED,
+        adaptive = _point(
+            size, lattice,
+            ci_target=CI_TARGET, max_samples=MAX_SAMPLES, chunk_size=CHUNK_SIZE,
         )
         adaptive_seconds = time.perf_counter() - started
         points.append(
@@ -148,30 +137,32 @@ def test_adaptive_reaches_target_with_fewer_samples():
 
 
 def _peak_memory_comparison() -> dict:
-    """tracemalloc peaks: materialise-everything vs stream-by-chunk."""
-    allocation = _allocation(MEMORY_SIZE)
-    fabrication = FabricationModel(SIGMA_GHZ)
+    """tracemalloc peaks: the one-draw plan vs the stream-by-chunk plan.
 
-    tracemalloc.start()
-    batch = materialize_seeded_batch(
-        allocation, fabrication,
-        batch_size=MEMORY_BATCH, chunk_size=MEMORY_CHUNK, seed=SEED,
-    )
-    monolithic_count = int(collision_free_mask(allocation, batch).sum())
-    _, monolithic_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    del batch
+    The sample bank is off for both runs: it would otherwise keep a copy
+    of every draw, which is the bank's own (byte-capped) memory, not the
+    sampler's.
+    """
+    lattice = heavy_hex_by_qubit_count(MEMORY_SIZE)
+    set_sample_bank_enabled(False)
+    try:
+        tracemalloc.start()
+        monolithic = _point(MEMORY_SIZE, lattice, batch_size=MEMORY_BATCH)
+        _, monolithic_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
 
-    tracemalloc.start()
-    streamed = simulate_yield_streaming(
-        allocation, fabrication,
-        batch_size=MEMORY_BATCH, chunk_size=MEMORY_CHUNK, seed=SEED,
-    )
-    _, streaming_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+        tracemalloc.start()
+        streamed = _point(
+            MEMORY_SIZE, lattice, batch_size=MEMORY_BATCH, chunk_size=MEMORY_CHUNK
+        )
+        _, streaming_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    finally:
+        set_sample_bank_enabled(None)
 
-    # the memory benchmark doubles as one more parity check
-    assert streamed.num_collision_free == monolithic_count
+    # Different plans draw different devices; bit-parity with the
+    # materialised batch is pinned by tests/test_stats.py.
+    assert monolithic.samples_used == streamed.samples_used == MEMORY_BATCH
 
     return {
         "batch_size": MEMORY_BATCH,

@@ -5,11 +5,12 @@ Two measurements back the tuning subsystem:
 1. **Greedy-repair throughput** — devices repaired per second on a
    collided heavy-hex batch (the regime the ``tunedyield`` experiment
    runs in), plus the recovered-yield gain, for both shipped strategies.
-2. **Parallel == sequential bit-identity** — the chunk-fanned tuned
-   estimate (``simulate_yield_chunks`` through a 4-worker engine) must
-   reproduce the sequential in-process run *exactly*: same collision-free
-   count, same repaired count, same accepted-shift totals.  This is the
-   engine's spawn-seed contract extended through the repair stage.
+2. **Parallel == sequential bit-identity** — a tuned, chunked yield
+   curve (``yield_vs_qubits`` through a 4-worker engine, one task per
+   size) must reproduce the sequential in-process run *exactly*: same
+   collision-free count, same repaired count, same accepted-shift
+   totals.  This is the engine's spawn-seed contract extended through
+   the repair stage.
 
 Results are written to ``benchmarks/BENCH_tuning.json``.
 """
@@ -24,8 +25,9 @@ import numpy as np
 
 from repro.core.architecture import get_architecture
 from repro.core.fabrication import FabricationModel
-from repro.core.yield_model import simulate_yield_chunks
+from repro.core.yield_model import yield_vs_qubits
 from repro.engine import ExecutionEngine, ResultCache
+from repro.stats import StatsOptions
 from repro.tuning import (
     AnnealingRepair,
     GreedyLocalRepair,
@@ -42,6 +44,11 @@ NUM_QUBITS = 65
 SIGMA = 0.014
 BATCH_SIZE = 600
 SEED = 2022
+
+#: Sizes of the parallel bit-identity curve: one engine task each, so
+#: all four workers get a point.
+CURVE_SIZES = (16, 27, 40, NUM_QUBITS)
+CHUNK_SIZE = 150
 
 
 def _bench_strategy(allocation, frequencies, strategy):
@@ -78,19 +85,21 @@ def test_repair_throughput_and_parallel_bit_identity(tmp_path):
     assert greedy["repaired_yield"] > greedy["as_fab_yield"]
 
     # Parallel == sequential bit-identity through the chunked pipeline.
-    opts = TuningOptions()
     kwargs = dict(
         sigma_ghz=SIGMA,
         step_ghz=allocation.spec.step_ghz,
-        num_qubits=NUM_QUBITS,
+        sizes=CURVE_SIZES,
         batch_size=BATCH_SIZE,
-        chunk_size=150,
         seed=SEED,
-        tuning=opts,
+        stats=StatsOptions(chunk_size=CHUNK_SIZE),
+        tuning=TuningOptions(),
     )
-    sequential = simulate_yield_chunks(**kwargs)
+    sequential_curve = yield_vs_qubits(**kwargs)
     engine = ExecutionEngine(jobs=4, cache=ResultCache(tmp_path / "cache"))
-    parallel = simulate_yield_chunks(executor=engine, **kwargs)
+    parallel_curve = yield_vs_qubits(executor=engine, **kwargs)
+    assert sequential_curve.points == parallel_curve.points
+    sequential = sequential_curve.at_size(NUM_QUBITS)
+    parallel = parallel_curve.at_size(NUM_QUBITS)
     identical = (
         sequential.num_collision_free,
         sequential.num_repaired,
@@ -114,7 +123,7 @@ def test_repair_throughput_and_parallel_bit_identity(tmp_path):
         "strategies": [greedy, anneal],
         "parallel_bit_identity": {
             "jobs": 4,
-            "chunk_size": 150,
+            "chunk_size": CHUNK_SIZE,
             "num_collision_free": sequential.num_collision_free,
             "num_repaired": sequential.num_repaired,
             "total_tunes": sequential.total_tunes,

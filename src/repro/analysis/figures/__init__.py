@@ -1,9 +1,8 @@
 """Per-experiment modules regenerating every figure/table of the paper.
 
-The former ``analysis/experiments.py`` monolith is decomposed here, one
-module per figure or table.  Every driver keeps its historical name and
-signature (``analysis.experiments`` re-exports them as a compatibility
-shim) and gains engine awareness where it sweeps Monte-Carlo points:
+The drivers live here, one module per figure or table.  Every driver
+keeps its historical name and signature and gains engine awareness where
+it sweeps Monte-Carlo points:
 
 ==========================  =============================================
 Module                      Experiment

@@ -11,14 +11,15 @@ point estimate.
 
 Key entry points
 ----------------
+:func:`simulate_yield_point`
+    One self-contained (sigma, step, size) point — the engine task every
+    sweep submits.  It runs a sampling *plan* (the legacy single draw, a
+    fixed chunked stream, or chunks until a CI target) through one chunk
+    loop.
 :func:`simulate_yield`
-    Yield for one topology / one (sigma_f, step) parameter point.
-:func:`simulate_yield_streaming`
-    The same estimate in O(chunk) instead of O(batch) memory, from
-    spawn-seeded chunks (bit-identical to the monolithic batch).
-:func:`simulate_yield_adaptive`
-    Chunked sampling with an adaptive stopping rule: draw chunks until
-    the CI half-width reaches a target or a hard sample cap.
+    Yield for one allocation from a caller-supplied generator.
+:func:`simulate_yield_with_devices`
+    The same, also returning the surviving devices (known-good-die bins).
 :func:`yield_vs_qubits`
     Yield curve over a range of device sizes (one curve of Fig. 4).
 :func:`detuning_sweep`
@@ -31,10 +32,10 @@ The sweep entry points accept an ``executor`` hook — any object with a
 (sigma, step, size) point.  Each point derives its own seed from the
 master seed by position (``np.random.SeedSequence.spawn``), so parallel
 and sequential runs are bit-identical at the same seed.  Within one
-point, the chunked estimators derive per-chunk seeds the same way (see
-:mod:`repro.stats.streaming`), so a streamed, adaptive, or
-chunk-parallel run observes literally the same samples as materialising
-the whole batch at once.
+point, a chunked plan derives per-chunk seeds the same way (see
+:mod:`repro.stats.streaming`), so a streamed run observes literally the
+same samples as materialising the whole batch at once, and an adaptive
+run observes a prefix of them.
 
 Every entry point also accepts a :class:`repro.tuning.TuningOptions`:
 when set, collided devices are handed to the post-fabrication repair
@@ -70,7 +71,6 @@ from repro.stats import (
     DEFAULT_CONFIDENCE,
     StatsOptions,
     StreamingEstimator,
-    adaptive_estimate,
     binomial_ci,
     chunk_layout,
     chunk_seed,
@@ -85,11 +85,6 @@ __all__ = [
     "simulate_yield",
     "simulate_yield_point",
     "simulate_yield_with_devices",
-    "simulate_yield_streaming",
-    "simulate_yield_adaptive",
-    "simulate_yield_chunk",
-    "simulate_yield_chunks",
-    "materialize_seeded_batch",
     "yield_vs_qubits",
     "detuning_sweep",
     "DEFAULT_BATCH_SIZE",
@@ -272,6 +267,70 @@ class YieldCurve:
         return self.at_size(num_qubits).collision_free_yield
 
 
+def _fabricate_and_screen(
+    allocation: FrequencyAllocation,
+    fabrication: FabricationModel,
+    length: int,
+    rng: np.random.Generator,
+    draw_seed,
+    thresholds: CollisionThresholds | None,
+    tuning: TuningOptions | None,
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int, int]]:
+    """Fabricate ``length`` devices from ``rng`` and screen them.
+
+    The one fabricate -> screen body behind every sampler.  Returns the
+    frequencies (repaired when ``tuning`` is set), their collision-free
+    mask, and the counts ``(num_free, num_repaired, tuned_qubits,
+    total_tunes)``.  Repair continues ``rng`` after fabrication
+    sampling, so the fabricated devices are bit-identical to the untuned
+    run and the repair shots are a pure function of the generator seed.
+    ``draw_seed`` is the sample-bank key: the exact seed ``rng`` was
+    freshly built from, or ``None`` (see :mod:`repro.core.sample_bank`).
+    """
+    frequencies = fabrication.sample_batch(allocation, length, rng, draw_seed=draw_seed)
+    if tuning is None:
+        mask = collision_free_mask(allocation, frequencies, thresholds)
+        return frequencies, mask, (int(mask.sum()), 0, 0, 0)
+    outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
+    counts = (
+        outcome.num_free,
+        outcome.num_repaired,
+        outcome.tuned_qubits,
+        outcome.total_tunes,
+    )
+    return outcome.frequencies, outcome.final_mask, counts
+
+
+def _result(
+    allocation: FrequencyAllocation,
+    fabrication: FabricationModel,
+    trials: int,
+    counts: tuple[int, int, int, int],
+    tuning: TuningOptions | None,
+    confidence: float,
+    ci_method: str,
+) -> YieldResult:
+    """The result for ``counts`` over ``trials`` devices (repaired form when tuned)."""
+    num_free, num_repaired, tuned_qubits, total_tunes = counts
+    fields = dict(
+        num_qubits=allocation.num_qubits,
+        sigma_ghz=fabrication.sigma_ghz,
+        step_ghz=allocation.spec.step_ghz,
+        batch_size=trials,
+        num_collision_free=num_free,
+        confidence=confidence,
+        ci_method=ci_method,
+    )
+    if tuning is None:
+        return YieldResult(**fields)
+    return RepairedYieldResult(
+        **fields,
+        num_repaired=num_repaired,
+        tuned_qubits=tuned_qubits,
+        total_tunes=total_tunes,
+    )
+
+
 def simulate_yield(
     allocation: FrequencyAllocation,
     fabrication: FabricationModel,
@@ -310,32 +369,11 @@ def simulate_yield(
         stream continuing ``rng`` stays bit-identical.
     """
     rng = rng or np.random.default_rng()
-    frequencies = fabrication.sample_batch(
-        allocation, batch_size, rng, draw_seed=draw_seed
+    _, _, counts = _fabricate_and_screen(
+        allocation, fabrication, batch_size, rng, draw_seed, thresholds, tuning
     )
-    if tuning is not None:
-        outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
-        return RepairedYieldResult(
-            num_qubits=allocation.num_qubits,
-            sigma_ghz=fabrication.sigma_ghz,
-            step_ghz=allocation.spec.step_ghz,
-            batch_size=batch_size,
-            num_collision_free=outcome.num_free,
-            confidence=confidence,
-            ci_method=ci_method,
-            num_repaired=outcome.num_repaired,
-            tuned_qubits=outcome.tuned_qubits,
-            total_tunes=outcome.total_tunes,
-        )
-    mask = collision_free_mask(allocation, frequencies, thresholds)
-    return YieldResult(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=batch_size,
-        num_collision_free=int(mask.sum()),
-        confidence=confidence,
-        ci_method=ci_method,
+    return _result(
+        allocation, fabrication, batch_size, counts, tuning, confidence, ci_method
     )
 
 
@@ -358,345 +396,13 @@ def simulate_yield_with_devices(
         known-good-die binning and MCM assembly.
     """
     rng = rng or np.random.default_rng()
-    frequencies = fabrication.sample_batch(
-        allocation, batch_size, rng, draw_seed=draw_seed
+    frequencies, mask, counts = _fabricate_and_screen(
+        allocation, fabrication, batch_size, rng, draw_seed, thresholds, None
     )
-    mask = collision_free_mask(allocation, frequencies, thresholds)
-    result = YieldResult(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=batch_size,
-        num_collision_free=int(mask.sum()),
+    result = _result(
+        allocation, fabrication, batch_size, counts, None, DEFAULT_CONFIDENCE, "wilson"
     )
     return result, frequencies[mask]
-
-
-# ---------------------------------------------------------------------- #
-# Chunked sampling: the spawn-seeded scheme shared by every estimator
-# ---------------------------------------------------------------------- #
-def _chunk_frequencies(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    length: int,
-    seed: int | None,
-    chunk_index: int,
-) -> np.ndarray:
-    """Fabricate one spawn-seeded chunk of ``length`` devices.
-
-    The chunk's derived seed doubles as the sample-bank draw key, so the
-    in-process streaming path and the engine chunk tasks share banked
-    base draws with every other sigma/step revisiting the same
-    ``(seed, chunk_index, num_qubits, length)`` identity.
-    """
-    derived = chunk_seed(seed, chunk_index)
-    rng = np.random.default_rng(derived)
-    return fabrication.sample_batch(allocation, length, rng, draw_seed=derived)
-
-
-def _chunk_counts(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    length: int,
-    seed: int | None,
-    chunk_index: int,
-    thresholds: CollisionThresholds | None,
-    tuning: TuningOptions | None,
-) -> tuple[int, int, int, int, int]:
-    """Fabricate, (optionally) repair and reduce one spawn-seeded chunk.
-
-    Returns ``(num_free, length, num_repaired, tuned_qubits,
-    total_tunes)``.  The repair stage continues the chunk's own
-    generator after fabrication sampling, so the fabricated frequencies
-    are bit-identical to the untuned chunk and the repair shots are a
-    pure function of the chunk seed — whichever process runs the chunk.
-    """
-    derived = chunk_seed(seed, chunk_index)
-    rng = np.random.default_rng(derived)
-    frequencies = fabrication.sample_batch(allocation, length, rng, draw_seed=derived)
-    if tuning is None:
-        mask = collision_free_mask(allocation, frequencies, thresholds)
-        return int(mask.sum()), length, 0, 0, 0
-    outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
-    return (
-        outcome.num_free,
-        length,
-        outcome.num_repaired,
-        outcome.tuned_qubits,
-        outcome.total_tunes,
-    )
-
-
-def _build_result(
-    num_qubits: int,
-    sigma_ghz: float,
-    step_ghz: float,
-    batch_size: int,
-    num_collision_free: int,
-    confidence: float,
-    ci_method: str,
-    tuning: TuningOptions | None,
-    num_repaired: int,
-    tuned_qubits: int,
-    total_tunes: int,
-) -> YieldResult:
-    """A :class:`YieldResult`, upgraded to repaired form for tuned runs."""
-    if tuning is None:
-        return YieldResult(
-            num_qubits=num_qubits,
-            sigma_ghz=sigma_ghz,
-            step_ghz=step_ghz,
-            batch_size=batch_size,
-            num_collision_free=num_collision_free,
-            confidence=confidence,
-            ci_method=ci_method,
-        )
-    return RepairedYieldResult(
-        num_qubits=num_qubits,
-        sigma_ghz=sigma_ghz,
-        step_ghz=step_ghz,
-        batch_size=batch_size,
-        num_collision_free=num_collision_free,
-        confidence=confidence,
-        ci_method=ci_method,
-        num_repaired=num_repaired,
-        tuned_qubits=tuned_qubits,
-        total_tunes=total_tunes,
-    )
-
-
-def materialize_seeded_batch(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-) -> np.ndarray:
-    """The *monolithic* reference batch of the chunked sampling scheme.
-
-    Fills every spawn-seeded chunk into one preallocated
-    ``(batch_size, num_qubits)`` array — O(batch) memory (a chunk list +
-    ``np.concatenate`` would briefly hold 2x that), exactly what
-    :func:`simulate_yield_streaming` reduces chunk by chunk.  The parity
-    tests pin the streamed, adaptive and chunk-parallel estimators to
-    this array bit for bit.
-    """
-    out = np.empty((batch_size, allocation.num_qubits), dtype=np.float64)
-    start = 0
-    for index, length in enumerate(chunk_layout(batch_size, chunk_size)):
-        out[start : start + length] = _chunk_frequencies(
-            allocation, fabrication, length, seed, index
-        )
-        start += length
-    return out
-
-
-def simulate_yield_streaming(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-    thresholds: CollisionThresholds | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
-    tuning: TuningOptions | None = None,
-) -> YieldResult:
-    """Streaming chunked yield estimate in O(chunk_size) memory.
-
-    Fabricate -> collision-mask -> reduce one chunk at a time: peak
-    memory is one ``(chunk_size, num_qubits)`` array instead of the full
-    ``(batch_size, num_qubits)`` batch, and the result is bit-identical
-    to reducing :func:`materialize_seeded_batch` at the same
-    ``(seed, chunk_size)``.  With ``tuning`` set, each chunk is repaired
-    before reduction (same chunk-seed contract, see :func:`_chunk_counts`).
-    """
-    estimator = StreamingEstimator(confidence=confidence, method=ci_method)
-    repaired = tuned_qubits = total_tunes = 0
-    for index, length in enumerate(chunk_layout(batch_size, chunk_size)):
-        free, trials, chunk_repaired, chunk_tuned, chunk_tunes = _chunk_counts(
-            allocation, fabrication, length, seed, index, thresholds, tuning
-        )
-        estimator.update(free, trials)
-        repaired += chunk_repaired
-        tuned_qubits += chunk_tuned
-        total_tunes += chunk_tunes
-    return _build_result(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=estimator.trials,
-        num_collision_free=estimator.successes,
-        confidence=confidence,
-        ci_method=ci_method,
-        tuning=tuning,
-        num_repaired=repaired,
-        tuned_qubits=tuned_qubits,
-        total_tunes=total_tunes,
-    )
-
-
-def simulate_yield_adaptive(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    ci_target: float,
-    max_samples: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-    thresholds: CollisionThresholds | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
-    tuning: TuningOptions | None = None,
-) -> YieldResult:
-    """Adaptive yield estimate: sample until the CI is tight enough.
-
-    Draws spawn-seeded chunks until the running CI half-width is at or
-    below ``ci_target``, or ``max_samples`` devices have been fabricated
-    — deep-in-the-tail points (yield near 0 or 1) stop after a chunk or
-    two instead of burning the full fixed batch.  Because chunk seeds
-    are prefix-stable, the samples an adaptive run observes are exactly
-    the first ``samples_used`` rows of the fixed-batch run at the same
-    ``(seed, chunk_size)``.  With ``tuning`` set, each drawn chunk is
-    repaired before it reaches the stopping rule.
-    """
-    repair_totals = [0, 0, 0]
-
-    def draw_chunk(chunk_index: int, length: int) -> tuple[int, int]:
-        free, trials, chunk_repaired, chunk_tuned, chunk_tunes = _chunk_counts(
-            allocation, fabrication, length, seed, chunk_index, thresholds, tuning
-        )
-        repair_totals[0] += chunk_repaired
-        repair_totals[1] += chunk_tuned
-        repair_totals[2] += chunk_tunes
-        return free, trials
-
-    outcome = adaptive_estimate(
-        draw_chunk,
-        ci_target=ci_target,
-        max_samples=max_samples,
-        chunk_size=chunk_size,
-        confidence=confidence,
-        method=ci_method,
-    )
-    return _build_result(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=outcome.trials,
-        num_collision_free=outcome.successes,
-        confidence=confidence,
-        ci_method=ci_method,
-        tuning=tuning,
-        num_repaired=repair_totals[0],
-        tuned_qubits=repair_totals[1],
-        total_tunes=repair_totals[2],
-    )
-
-
-def simulate_yield_chunk(
-    sigma_ghz: float,
-    step_ghz: float,
-    num_qubits: int,
-    chunk_length: int,
-    seed: int | None,
-    thresholds: CollisionThresholds | None = None,
-    lattice: Lattice | None = None,
-    topology: str | None = None,
-    tuning: TuningOptions | None = None,
-) -> tuple[int, ...]:
-    """One spawn-seeded chunk as a self-contained engine task.
-
-    ``seed`` here is the *chunk's own* derived seed (see
-    :func:`repro.stats.streaming.chunk_seed`), so the task is a pure,
-    picklable function of its arguments and can run in any worker
-    process.  Returns ``(num_collision_free, chunk_length)``; with
-    ``tuning`` set the tuple extends to ``(num_collision_free,
-    chunk_length, num_repaired, tuned_qubits, total_tunes)``.
-    """
-    arch = get_architecture(topology)
-    if lattice is None:
-        lattice = arch.lattice(num_qubits)
-    allocation = arch.allocate(lattice, spec=arch.spec(step_ghz=step_ghz))
-    fabrication = FabricationModel(sigma_ghz=sigma_ghz)
-    rng = np.random.default_rng(seed)
-    frequencies = fabrication.sample_batch(allocation, chunk_length, rng, draw_seed=seed)
-    if tuning is None:
-        mask = collision_free_mask(allocation, frequencies, thresholds)
-        return int(mask.sum()), chunk_length
-    outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
-    return (
-        outcome.num_free,
-        chunk_length,
-        outcome.num_repaired,
-        outcome.tuned_qubits,
-        outcome.total_tunes,
-    )
-
-
-def simulate_yield_chunks(
-    sigma_ghz: float,
-    step_ghz: float,
-    num_qubits: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-    thresholds: CollisionThresholds | None = None,
-    lattice: Lattice | None = None,
-    executor=None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
-    topology: str | None = None,
-    tuning: TuningOptions | None = None,
-) -> YieldResult:
-    """The chunked estimate with chunks fanned out as engine tasks.
-
-    Each chunk becomes one :func:`simulate_yield_chunk` task carrying its
-    pre-derived spawn seed; results are reduced in submission order, so
-    the estimate is bit-identical to :func:`simulate_yield_streaming`
-    (and to the materialised monolithic batch) no matter how many worker
-    processes execute the chunks.  With ``tuning`` set each chunk task
-    repairs its own devices (the option joins the task kwargs, and
-    therefore the cache key, only when enabled).
-    """
-    if lattice is None:
-        lattice = get_architecture(topology).lattice(num_qubits)
-    kwargs_list = [
-        dict(
-            sigma_ghz=sigma_ghz,
-            step_ghz=step_ghz,
-            num_qubits=num_qubits,
-            chunk_length=length,
-            seed=chunk_seed(seed, index),
-            thresholds=thresholds,
-            lattice=lattice,
-            **_topology_kwargs(topology),
-            **_tuning_kwargs(tuning),
-        )
-        for index, length in enumerate(chunk_layout(batch_size, chunk_size))
-    ]
-    estimator = StreamingEstimator(confidence=confidence, method=ci_method)
-    repaired = tuned_qubits = total_tunes = 0
-    for counts in _run_points(
-        simulate_yield_chunk, kwargs_list, executor, "yield.chunk"
-    ):
-        estimator.update(counts[0], counts[1])
-        if len(counts) > 2:
-            repaired += counts[2]
-            tuned_qubits += counts[3]
-            total_tunes += counts[4]
-    return _build_result(
-        num_qubits=lattice.num_qubits,
-        sigma_ghz=sigma_ghz,
-        step_ghz=step_ghz,
-        batch_size=estimator.trials,
-        num_collision_free=estimator.successes,
-        confidence=confidence,
-        ci_method=ci_method,
-        tuning=tuning,
-        num_repaired=repaired,
-        tuned_qubits=tuned_qubits,
-        total_tunes=total_tunes,
-    )
 
 
 def simulate_yield_point(
@@ -721,63 +427,62 @@ def simulate_yield_point(
     a module-level function of picklable arguments, so it runs identically
     in a worker process and in the calling process.  ``topology`` selects
     the registered architecture (lattice factory + frequency plan);
-    heavy-hex when omitted.  The statistics parameters select the
-    sampler:
+    heavy-hex when omitted.
 
-    * ``ci_target`` set — adaptive chunked sampling, capped at
-      ``max_samples`` (``batch_size`` when unset);
-    * ``chunk_size`` set (no target) — streaming chunked sampling of the
-      full ``batch_size`` in O(chunk) memory;
-    * neither — the legacy monolithic single-draw batch.
+    The statistics parameters select a sampling *plan* — a list of
+    ``(draw_seed, length)`` chunks — and one loop runs it, fabricating
+    and screening each chunk from ``default_rng(draw_seed)``:
 
-    ``tuning`` routes every sampler through the post-fabrication repair
-    stage.  All statistics, topology and tuning parameters participate
-    in the engine's cache key, so changing any of them invalidates
-    previously cached points.
+    * neither ``chunk_size`` nor ``ci_target`` — the legacy single draw,
+      the one-chunk plan ``[(seed, batch_size)]``;
+    * ``chunk_size`` set — ``batch_size`` devices in spawn-seeded chunks
+      (:func:`repro.stats.chunk_seed`), O(chunk) memory;
+    * ``ci_target`` set — the same chunks over ``max_samples`` devices
+      (``batch_size`` when unset; ``chunk_size`` defaults to
+      :data:`repro.stats.DEFAULT_CHUNK_SIZE`), stopping after the first
+      chunk at which the CI half-width is at or below the target.  Chunk
+      seeds are prefix-stable, so the samples an adaptive run observes
+      are the first ``samples_used`` rows of the fixed-size run.
+
+    ``tuning`` repairs each chunk before it is counted.  All statistics,
+    topology and tuning parameters participate in the engine's cache key,
+    so changing any of them invalidates previously cached points.
     """
     arch = get_architecture(topology)
     if lattice is None:
         lattice = arch.lattice(num_qubits)
     allocation = arch.allocate(lattice, spec=arch.spec(step_ghz=step_ghz))
     fabrication = FabricationModel(sigma_ghz=sigma_ghz)
-    if ci_target is not None:
-        return simulate_yield_adaptive(
+    if chunk_size is None and ci_target is None:
+        plan = [(seed, batch_size)]
+    else:
+        total = batch_size
+        if ci_target is not None and max_samples is not None:
+            total = max_samples
+        layout = chunk_layout(
+            total, chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE
+        )
+        plan = [(chunk_seed(seed, index), length) for index, length in enumerate(layout)]
+
+    estimator = StreamingEstimator(confidence=confidence, method=ci_method)
+    totals = (0, 0, 0, 0)
+    for draw_seed, length in plan:
+        _, _, counts = _fabricate_and_screen(
             allocation,
             fabrication,
-            ci_target=ci_target,
-            max_samples=max_samples if max_samples is not None else batch_size,
-            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-            seed=seed,
-            thresholds=thresholds,
-            confidence=confidence,
-            ci_method=ci_method,
-            tuning=tuning,
+            length,
+            np.random.default_rng(draw_seed),
+            draw_seed,
+            thresholds,
+            tuning,
         )
-    if chunk_size is not None:
-        return simulate_yield_streaming(
-            allocation,
-            fabrication,
-            batch_size=batch_size,
-            chunk_size=chunk_size,
-            seed=seed,
-            thresholds=thresholds,
-            confidence=confidence,
-            ci_method=ci_method,
-            tuning=tuning,
-        )
-    return simulate_yield(
-        allocation,
-        fabrication,
-        batch_size,
-        np.random.default_rng(seed),
-        thresholds,
-        confidence=confidence,
-        ci_method=ci_method,
-        tuning=tuning,
-        draw_seed=seed,
+        totals = tuple(map(sum, zip(totals, counts)))
+        estimator.update(counts[0], length)
+        if ci_target is not None and estimator.half_width() <= ci_target:
+            break
+    return _result(
+        allocation, fabrication, estimator.trials, totals, tuning, confidence, ci_method
     )
-
-
 
 
 def _stats_point_kwargs(stats: StatsOptions | None) -> dict:

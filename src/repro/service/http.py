@@ -177,12 +177,20 @@ class ServiceServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "") or "0"
+        # Plain ASCII digits only: int() would also take "-5", "+5" or
+        # "1_000", and str.isdigit() alone admits latin-1 superscripts.
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HttpError(400, f"invalid Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body: Any = None
         if length:
-            raw = await reader.readexactly(length)
+            try:
+                raw = await reader.readexactly(length)
+            except asyncio.IncompleteReadError as exc:
+                raise _HttpError(400, "request body shorter than its Content-Length") from exc
             try:
                 body = json.loads(raw)
             except json.JSONDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Adaptive Monte-Carlo statistics: streaming chunks + confidence intervals.
+"""Monte-Carlo statistics: chunked sampling plans + confidence intervals.
 
 Every yield estimate the repo publishes is a binomial success fraction;
 this package upgrades those point estimates into interval estimates and
@@ -9,21 +9,19 @@ bounded-memory, bounded-error sampling:
   yield-collapse curves live, at yields near 0 and 1);
 * :mod:`repro.stats.streaming` — the chunked sampling contract (spawn-
   seeded, prefix-stable chunk seeds) and the O(1)-state
-  :class:`StreamingEstimator` reduction;
-* :mod:`repro.stats.adaptive` — the CI-targeted stopping rule and the
-  :class:`StatsOptions` bundle the CLI threads into the sweeps.
+  :class:`StreamingEstimator` reduction whose running half-width is the
+  CI-targeted stopping rule;
+* :mod:`repro.stats.options` — the :class:`StatsOptions` bundle the CLI
+  threads into the sweeps.
+
+The sampling loop itself lives in
+:func:`repro.core.yield_model.simulate_yield_point`.
 
 Layering: ``repro.stats`` depends only on numpy/scipy and
 :mod:`repro.engine.seeding`; it knows nothing about devices or
 collisions, so any layer (core, analysis, benchmarks) may import it.
 """
 
-from repro.stats.adaptive import (
-    DEFAULT_MAX_SAMPLES,
-    AdaptiveOutcome,
-    StatsOptions,
-    adaptive_estimate,
-)
 from repro.stats.intervals import (
     CI_METHODS,
     DEFAULT_CONFIDENCE,
@@ -36,6 +34,7 @@ from repro.stats.intervals import (
     samples_for_half_width,
     wilson_interval,
 )
+from repro.stats.options import StatsOptions
 from repro.stats.streaming import (
     DEFAULT_CHUNK_SIZE,
     StreamingEstimator,
@@ -44,11 +43,9 @@ from repro.stats.streaming import (
 )
 
 __all__ = [
-    "AdaptiveOutcome",
     "ConfidenceInterval",
     "StatsOptions",
     "StreamingEstimator",
-    "adaptive_estimate",
     "binomial_ci",
     "chunk_layout",
     "chunk_seed",
@@ -61,5 +58,4 @@ __all__ = [
     "CI_METHODS",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_CONFIDENCE",
-    "DEFAULT_MAX_SAMPLES",
 ]

@@ -13,9 +13,8 @@ The seed-level contract of the chunked estimators lives here:
 Those two rules make every chunked consumer bit-identical to the
 monolithic batch at the same seed: materialising all chunks into one
 ``(total, num_qubits)`` array and reducing once, streaming them through
-a :class:`StreamingEstimator` in O(chunk) memory, fanning them out as
-engine tasks across worker processes, and stopping early after any chunk
-prefix all observe literally the same samples.
+a :class:`StreamingEstimator` in O(chunk) memory, and stopping early
+after any chunk prefix all observe literally the same samples.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import (
+from repro.analysis.figures import (
     run_fig3_processor_trends,
     run_fig4_yield_sweep,
     run_fig6_configurations,

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_golden_regression as golden
+from test_stats import chunked_plan, materialize_seeded_batch
 from repro.core.fabrication import FabricationModel
 from repro.core.sample_bank import (
     SAMPLE_BANK_ENV,
@@ -43,11 +44,7 @@ from repro.core.sample_bank import (
     sample_bank_stats,
     set_sample_bank_enabled,
 )
-from repro.core.yield_model import (
-    detuning_sweep,
-    materialize_seeded_batch,
-    simulate_yield_point,
-)
+from repro.core.yield_model import detuning_sweep, simulate_yield_point
 from repro.engine.seeding import spawn_seeds
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
@@ -314,21 +311,22 @@ class TestPipelineParity:
     def test_materialize_preallocated_matches_concatenated_chunks(
         self, allocation_27, fabrication
     ):
-        from repro.core.yield_model import _chunk_frequencies
-        from repro.stats import chunk_layout
-
-        batch, chunk = 130, 50
-        materialized = materialize_seeded_batch(
-            allocation_27, fabrication, batch_size=batch, chunk_size=chunk, seed=7
-        )
-        chunks = [
-            _chunk_frequencies(allocation_27, fabrication, length, 7, index)
-            for index, length in enumerate(chunk_layout(batch, chunk))
-        ]
-        reference = np.concatenate(chunks, axis=0)
-        assert materialized.tobytes() == reference.tobytes()
+        """The bank-free preallocated reference == banked chunk draws."""
+        plan = chunked_plan(7, 130, 50)
+        materialized = materialize_seeded_batch(allocation_27, fabrication, plan)
+        set_sample_bank_enabled(True)
+        for _ in range(2):  # misses, then hits
+            chunks = [
+                fabrication.sample_batch(
+                    allocation_27, length, np.random.default_rng(seed), draw_seed=seed
+                )
+                for seed, length in plan
+            ]
+            reference = np.concatenate(chunks, axis=0)
+            assert materialized.tobytes() == reference.tobytes()
+        assert sample_bank_stats()["hits"] == len(plan)
         assert materialized.flags.c_contiguous
-        assert materialized.shape == (batch, allocation_27.num_qubits)
+        assert materialized.shape == (130, allocation_27.num_qubits)
 
     @pytest.mark.parametrize("name", sorted(golden.GOLDEN_PARAMS))
     def test_goldens_unchanged_with_bank_disabled(self, name):

@@ -16,6 +16,7 @@ through ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
@@ -651,6 +652,48 @@ class TestHttpEndpoints:
         ]
         assert len(frames) >= 3  # queued, running, ..., succeeded
         assert b'"succeeded"' in frames[-1]
+
+    @pytest.mark.parametrize(
+        "content_length,body",
+        [
+            ("abc", b"{}"),
+            ("1e3", b"{}"),
+            ("-5", b"{}"),
+            ("10", b"{}"),  # the client half-closes after 2 of 10 bytes
+        ],
+        ids=["non-numeric", "exponent", "negative", "truncated-body"],
+    )
+    def test_malformed_body_framing_is_a_well_formed_400(self, content_length, body):
+        registry, record = self._registry()
+
+        async def scenario():
+            async with JobManager(
+                registry, workers=1, engine_options=FAST_ENGINE
+            ) as manager:
+                server = ServiceServer(manager, port=0)
+                await server.start()
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        server.host, server.port
+                    )
+                    writer.write(
+                        b"POST /jobs HTTP/1.1\r\nHost: t\r\n"
+                        + f"Content-Length: {content_length}\r\n\r\n".encode()
+                        + body
+                    )
+                    writer.write_eof()
+                    raw = await asyncio.wait_for(reader.read(), timeout=30)
+                    writer.close()
+                    return raw
+                finally:
+                    await server.stop()
+
+        raw = asyncio.run(scenario())
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"content-type: application/json" in head.lower()
+        assert "error" in json.loads(payload)
+        assert record["runs"] == 0
 
 
 class TestMetricsEndpoint:

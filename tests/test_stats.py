@@ -2,8 +2,9 @@
 
 Covers the interval constructions, the streaming estimator, the adaptive
 stopping rule, and — the load-bearing guarantee — bit-identical parity
-between the chunked/adaptive yield estimators and the materialised
-monolithic batch at the same seed.
+between every sampling plan of :func:`simulate_yield_point` (legacy
+single draw, chunked stream, CI-targeted stop) and the materialised
+monolithic reference batch at the same seed.
 """
 
 from __future__ import annotations
@@ -17,21 +18,22 @@ from hypothesis import given, strategies as st
 from repro.core.collisions import collision_free_mask
 from repro.core.fabrication import FabricationModel
 from repro.core.frequencies import allocate_heavy_hex_frequencies
+from repro.core.sample_bank import (
+    clear_sample_bank,
+    sample_bank_stats,
+    set_sample_bank_enabled,
+)
 from repro.core.yield_model import (
+    RepairedYieldResult,
     YieldResult,
-    materialize_seeded_batch,
     simulate_yield,
-    simulate_yield_adaptive,
-    simulate_yield_chunks,
     simulate_yield_point,
-    simulate_yield_streaming,
     yield_vs_qubits,
 )
 from repro.engine import ExecutionEngine, spawn_seed_at, spawn_seeds
 from repro.stats import (
     StatsOptions,
     StreamingEstimator,
-    adaptive_estimate,
     binomial_ci,
     chunk_layout,
     chunk_seed,
@@ -41,12 +43,83 @@ from repro.stats import (
     wilson_interval,
 )
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
+from repro.tuning import TuningOptions, repair_batch
 
 # Module-level device shared by the parity tests (built once; hypothesis
 # dislikes function-scoped fixtures, and the lattice search is not free).
 _LATTICE_20 = heavy_hex_by_qubit_count(20)
 _ALLOCATION_20 = allocate_heavy_hex_frequencies(_LATTICE_20)
 _FABRICATION = FabricationModel(0.014)
+
+
+def chunked_plan(seed: int | None, total: int, chunk_size: int) -> list[tuple]:
+    """The ``(draw_seed, length)`` chunks of a chunked run, derived here."""
+    return [
+        (chunk_seed(seed, index), length)
+        for index, length in enumerate(chunk_layout(total, chunk_size))
+    ]
+
+
+def materialize_seeded_batch(
+    allocation, fabrication: FabricationModel, plan: list[tuple]
+) -> np.ndarray:
+    """The *monolithic* reference batch of a sampling plan.
+
+    Draws every ``(draw_seed, length)`` chunk from a fresh
+    ``default_rng(draw_seed)`` — never through the sample bank — into
+    one preallocated ``(total, num_qubits)`` array: O(batch) memory, the
+    batch the chunk loop of :func:`simulate_yield_point` reduces chunk
+    by chunk.  The parity tests pin every sampling plan to it bit for
+    bit.
+    """
+    out = np.empty((sum(n for _, n in plan), allocation.num_qubits))
+    start = 0
+    for draw_seed, length in plan:
+        rng = np.random.default_rng(draw_seed)
+        out[start : start + length] = fabrication.sample_batch(allocation, length, rng)
+        start += length
+    return out
+
+
+def reference_chunk_counts(allocation, plan: list[tuple], tuning=None) -> list[tuple]:
+    """Per-chunk ``(free, length, repaired, tuned_qubits, total_tunes)``.
+
+    Screens the materialised reference batch with ONE mask call; tuned
+    runs repair each chunk's rows, continuing that chunk's generator past
+    its fabrication draw.
+    """
+    batch = materialize_seeded_batch(allocation, _FABRICATION, plan)
+    as_fab = collision_free_mask(allocation, batch)
+    counts, start = [], 0
+    for draw_seed, length in plan:
+        rows = slice(start, start + length)
+        start += length
+        if tuning is None:
+            counts.append((int(as_fab[rows].sum()), length, 0, 0, 0))
+            continue
+        rng = np.random.default_rng(draw_seed)
+        _FABRICATION.sample_batch(allocation, length, rng)  # advance past the draw
+        outcome = repair_batch(allocation, batch[rows].copy(), tuning, rng)
+        assert np.array_equal(outcome.as_fab_mask, as_fab[rows])
+        counts.append(
+            (
+                outcome.num_free,
+                length,
+                outcome.num_repaired,
+                outcome.tuned_qubits,
+                outcome.total_tunes,
+            )
+        )
+    return counts
+
+
+@pytest.fixture
+def bank_switch():
+    """Set the sample bank on/off for one test, then restore the default."""
+    clear_sample_bank()
+    yield set_sample_bank_enabled
+    clear_sample_bank()
+    set_sample_bank_enabled(None)
 
 
 class TestIntervals:
@@ -163,41 +236,37 @@ class TestStreamingEstimator:
 
 
 class TestAdaptiveEstimate:
-    @staticmethod
-    def _binomial_draw(p: float, seed: int = 9):
-        def draw(chunk_index: int, length: int) -> tuple[int, int]:
-            rng = np.random.default_rng(chunk_seed(seed, chunk_index))
-            return int(rng.random(length).__lt__(p).sum()), length
+    """The CI-targeted stopping rule of :func:`simulate_yield_point`."""
 
-        return draw
+    @staticmethod
+    def _point(sigma: float = 0.014, **stats):
+        return simulate_yield_point(
+            sigma, 0.06, 20, seed=9, lattice=_LATTICE_20, **stats
+        )
 
     def test_stops_when_target_reached(self):
-        outcome = adaptive_estimate(
-            self._binomial_draw(0.0), ci_target=0.02, max_samples=10_000, chunk_size=250
-        )
-        assert outcome.reached_target
-        assert outcome.trials == 250  # one tail chunk suffices
-        assert outcome.half_width <= 0.02
+        # sigma 0.5 GHz: every die collides, one tail chunk suffices
+        result = self._point(0.5, ci_target=0.02, max_samples=10_000, chunk_size=250)
+        assert result.num_collision_free == 0
+        assert result.samples_used == 250
+        assert result.ci_half_width <= 0.02
 
     def test_respects_sample_cap(self):
-        outcome = adaptive_estimate(
-            self._binomial_draw(0.5), ci_target=0.001, max_samples=1000, chunk_size=250
-        )
-        assert not outcome.reached_target
-        assert outcome.trials == 1000
-        assert outcome.chunks == 4
+        result = self._point(ci_target=0.001, max_samples=1000, chunk_size=250)
+        assert result.samples_used == 1000
+        assert result.ci_half_width > 0.001
 
     def test_ragged_cap_layout(self):
-        outcome = adaptive_estimate(
-            self._binomial_draw(0.5), ci_target=0.0, max_samples=600, chunk_size=250
-        )
-        assert outcome.trials == 600
+        result = self._point(ci_target=0.0, max_samples=600, chunk_size=250)
+        assert result.samples_used == 600
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
-            adaptive_estimate(self._binomial_draw(0.5), ci_target=-0.1)
+            StatsOptions(ci_target=-0.1)
         with pytest.raises(ValueError):
-            adaptive_estimate(self._binomial_draw(0.5), ci_target=0.1, max_samples=0)
+            StatsOptions(ci_target=0.1, max_samples=0)
+        with pytest.raises(ValueError):
+            self._point(ci_target=0.1, max_samples=0)
 
 
 class TestStatsOptions:
@@ -245,73 +314,103 @@ class TestYieldResultCI:
         assert result.ci_low <= result.estimate <= result.ci_high
 
 
+#: The three sampling plans of :func:`simulate_yield_point` (batch 500).
+SAMPLERS = {
+    "legacy": {},
+    "streaming": {"chunk_size": 125},
+    "adaptive": {"chunk_size": 100, "ci_target": 0.04, "max_samples": 700},
+}
+
+
 class TestChunkedParity:
     """The acceptance-criteria guarantee: chunked == monolithic, bit for bit."""
 
-    def test_streaming_matches_materialized_monolith(self):
-        batch = materialize_seeded_batch(
-            _ALLOCATION_20, _FABRICATION, batch_size=800, chunk_size=250, seed=11
+    @pytest.mark.parametrize("bank", [True, False], ids=["bank-on", "bank-off"])
+    @pytest.mark.parametrize("tuned", [False, True], ids=["untuned", "tuned"])
+    @pytest.mark.parametrize("sampler", list(SAMPLERS))
+    def test_sampler_matches_materialized_reference(
+        self, sampler, tuned, bank, bank_switch
+    ):
+        bank_switch(bank)
+        options = SAMPLERS[sampler]
+        tuning = TuningOptions() if tuned else None
+        point = dict(
+            sigma_ghz=0.014, step_ghz=0.06, num_qubits=20, batch_size=500,
+            seed=11, lattice=_LATTICE_20, tuning=tuning, **options,
         )
-        monolithic = int(collision_free_mask(_ALLOCATION_20, batch).sum())
-        streamed = simulate_yield_streaming(
-            _ALLOCATION_20, _FABRICATION, batch_size=800, chunk_size=250, seed=11
-        )
-        assert streamed.num_collision_free == monolithic
-        assert streamed.batch_size == 800
+        result = simulate_yield_point(**point)
+        assert simulate_yield_point(**point) == result  # bank hits when on
+        assert (sample_bank_stats()["hits"] > 0) == bank
+
+        if sampler == "legacy":
+            plan = [(11, 500)]
+        else:
+            total = options.get("max_samples", 500)
+            plan = chunked_plan(11, total, options["chunk_size"])
+        used = []
+        for counts in reference_chunk_counts(_ALLOCATION_20, plan, tuning):
+            used.append(counts)
+            free, trials = sum(c[0] for c in used), sum(c[1] for c in used)
+            target = options.get("ci_target")
+            if target is not None and binomial_ci(free, trials).half_width <= target:
+                break
+        free, trials, repaired, tuned_qubits, total_tunes = map(sum, zip(*used))
+        assert (result.num_collision_free, result.samples_used) == (free, trials)
+        assert isinstance(result, RepairedYieldResult) == tuned
+        if tuned:
+            assert (result.num_repaired, result.tuned_qubits, result.total_tunes) == (
+                repaired, tuned_qubits, total_tunes,
+            )
+            assert result.repaired_yield >= result.as_fab_yield
+        if sampler == "adaptive":
+            # the target stops the run strictly inside the sample cap
+            assert result.samples_used < options["max_samples"]
 
     @pytest.mark.parametrize("chunk_size", [64, 250, 800, 1000])
     def test_materialized_batch_prefix_stability(self, chunk_size):
-        """Same chunk partition -> same bits, regardless of reduction."""
-        full = materialize_seeded_batch(
-            _ALLOCATION_20, _FABRICATION, batch_size=500, chunk_size=chunk_size, seed=3
-        )
+        """Same chunk partition -> same bits; the chunk partition is a prefix."""
+        plan = chunked_plan(3, 500, chunk_size)
+        full = materialize_seeded_batch(_ALLOCATION_20, _FABRICATION, plan)
         assert full.shape == (500, 20)
-        again = materialize_seeded_batch(
-            _ALLOCATION_20, _FABRICATION, batch_size=500, chunk_size=chunk_size, seed=3
-        )
+        again = materialize_seeded_batch(_ALLOCATION_20, _FABRICATION, plan)
         assert np.array_equal(full, again)
+        longer = materialize_seeded_batch(
+            _ALLOCATION_20, _FABRICATION, chunked_plan(3, 1500, chunk_size)
+        )
+        usable = sum(n for n in chunk_layout(500, chunk_size) if n == chunk_size)
+        assert np.array_equal(full[:usable], longer[:usable])
 
     def test_adaptive_observes_a_prefix_of_the_fixed_batch(self):
         """With a zero target the adaptive run must replay the fixed batch."""
-        fixed = simulate_yield_streaming(
-            _ALLOCATION_20, _FABRICATION, batch_size=1000, chunk_size=250, seed=5
-        )
-        adaptive = simulate_yield_adaptive(
-            _ALLOCATION_20, _FABRICATION, ci_target=0.0,
-            max_samples=1000, chunk_size=250, seed=5,
+        point = dict(seed=5, lattice=_LATTICE_20, chunk_size=250)
+        fixed = simulate_yield_point(0.014, 0.06, 20, batch_size=1000, **point)
+        adaptive = simulate_yield_point(
+            0.014, 0.06, 20, ci_target=0.0, max_samples=1000, **point
         )
         assert adaptive.num_collision_free == fixed.num_collision_free
-        assert adaptive.samples_used == fixed.samples_used
+        assert adaptive.samples_used == fixed.samples_used == 1000
 
     def test_adaptive_stops_early_in_the_tail(self):
-        lattice = heavy_hex_by_qubit_count(300)
-        allocation = allocate_heavy_hex_frequencies(lattice)
-        result = simulate_yield_adaptive(
-            allocation, _FABRICATION, ci_target=0.02,
-            max_samples=4000, chunk_size=250, seed=7,
+        result = simulate_yield_point(
+            0.014, 0.06, 300, ci_target=0.02, max_samples=4000, chunk_size=250, seed=7
         )
         assert result.samples_used == 250  # one chunk: yield ~ 0
         assert result.ci_half_width <= 0.02
         assert result.ci_low <= result.estimate <= result.ci_high
 
-    def test_chunk_tasks_match_streaming_across_executors(self):
-        streamed = simulate_yield_streaming(
-            _ALLOCATION_20, _FABRICATION, batch_size=750, chunk_size=250, seed=13
+    def test_chunked_points_match_across_executors(self):
+        options = StatsOptions(chunk_size=250)
+        sweep = dict(sizes=(20,), batch_size=750, seed=13, stats=options)
+        serial = yield_vs_qubits(0.014, 0.06, **sweep)
+        parallel = yield_vs_qubits(
+            0.014, 0.06, executor=ExecutionEngine(jobs=2, use_cache=False), **sweep
         )
-        serial = simulate_yield_chunks(
-            0.014, 0.06, 20, batch_size=750, chunk_size=250, seed=13,
-            lattice=_LATTICE_20,
+        assert serial.points == parallel.points
+        point_seed = spawn_seeds(13, 1)[0]
+        reference = reference_chunk_counts(
+            _ALLOCATION_20, chunked_plan(point_seed, 750, 250)
         )
-        parallel = simulate_yield_chunks(
-            0.014, 0.06, 20, batch_size=750, chunk_size=250, seed=13,
-            lattice=_LATTICE_20,
-            executor=ExecutionEngine(jobs=2, use_cache=False),
-        )
-        assert (
-            serial.num_collision_free
-            == parallel.num_collision_free
-            == streamed.num_collision_free
-        )
+        assert serial.at_size(20).num_collision_free == sum(c[0] for c in reference)
 
     @given(
         batch_size=st.integers(10, 200),
@@ -324,11 +423,11 @@ class TestChunkedParity:
         allocation = allocate_heavy_hex_frequencies(lattice)
         fabrication = FabricationModel(0.05)
         batch = materialize_seeded_batch(
-            allocation, fabrication, batch_size, chunk_size, seed
+            allocation, fabrication, chunked_plan(seed, batch_size, chunk_size)
         )
         monolithic = int(collision_free_mask(allocation, batch).sum())
-        streamed = simulate_yield_streaming(
-            allocation, fabrication, batch_size, chunk_size, seed
+        streamed = simulate_yield_point(
+            0.05, 0.06, 5, batch_size, seed=seed, lattice=lattice, chunk_size=chunk_size
         )
         assert streamed.num_collision_free == monolithic
 
@@ -341,13 +440,19 @@ class TestChunkedParity:
             0.014, 0.06, 20, 500, seed=7, lattice=_LATTICE_20,
             chunk_size=125, ci_target=0.1,
         )
-        reference = simulate_yield_streaming(
-            _ALLOCATION_20, _FABRICATION, 500, 125, seed=7
+        batch = materialize_seeded_batch(
+            _ALLOCATION_20, _FABRICATION, chunked_plan(7, 500, 125)
         )
-        assert streamed.num_collision_free == reference.num_collision_free
+        assert streamed.num_collision_free == int(
+            collision_free_mask(_ALLOCATION_20, batch).sum()
+        )
         assert adaptive.samples_used <= streamed.samples_used
-        # the legacy sampler is untouched: single monolithic draw
+        # the legacy sampler is one draw from the point seed itself
+        single = materialize_seeded_batch(_ALLOCATION_20, _FABRICATION, [(7, 500)])
         assert legacy.batch_size == 500
+        assert legacy.num_collision_free == int(
+            collision_free_mask(_ALLOCATION_20, single).sum()
+        )
 
     def test_sweep_accepts_stats_options(self):
         options = StatsOptions(ci_target=0.05, chunk_size=100, max_samples=600)

@@ -17,10 +17,7 @@ from repro.core.output_model import fabrication_output_from_results
 from repro.core.yield_model import (
     RepairedYieldResult,
     simulate_yield,
-    simulate_yield_adaptive,
-    simulate_yield_chunks,
     simulate_yield_point,
-    simulate_yield_streaming,
     yield_vs_qubits,
 )
 from repro.engine import ExecutionEngine, ResultCache, stable_token
@@ -267,42 +264,6 @@ class TestYieldModelIntegration:
             allocation, fab, 150, np.random.default_rng(7), tuning=TuningOptions()
         )
         assert tuned.num_as_fab_free == untuned.num_collision_free
-
-    def test_streaming_chunks_adaptive_parity(self, allocation):
-        fab = FabricationModel(sigma_ghz=SIGMA)
-        opts = TuningOptions()
-        streamed = simulate_yield_streaming(
-            allocation, fab, batch_size=300, chunk_size=100, seed=9, tuning=opts
-        )
-        chunked = simulate_yield_chunks(
-            SIGMA,
-            allocation.spec.step_ghz,
-            40,
-            batch_size=300,
-            chunk_size=100,
-            seed=9,
-            tuning=opts,
-        )
-        assert (streamed.num_collision_free, streamed.num_repaired) == (
-            chunked.num_collision_free,
-            chunked.num_repaired,
-        )
-        assert (streamed.tuned_qubits, streamed.total_tunes) == (
-            chunked.tuned_qubits,
-            chunked.total_tunes,
-        )
-        # The adaptive run's observed samples are a prefix of the stream.
-        adaptive = simulate_yield_adaptive(
-            allocation,
-            fab,
-            ci_target=0.5,
-            max_samples=300,
-            chunk_size=100,
-            seed=9,
-            tuning=opts,
-        )
-        assert isinstance(adaptive, RepairedYieldResult)
-        assert adaptive.samples_used <= 300
 
     def test_parallel_matches_sequential_with_tuning(self, tmp_path):
         opts = TuningOptions()
