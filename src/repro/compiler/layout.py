@@ -16,6 +16,8 @@ qubits onto it.  Three strategies are provided:
 
 from __future__ import annotations
 
+from collections import deque
+
 import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
@@ -106,45 +108,52 @@ def find_long_path(
     Heavy-hex lattices contain long snaking paths, but a pure greedy walk
     tends to strand itself; a depth-first search with backtracking and a
     low-degree-first expansion order finds them quickly in practice.  The
-    search is bounded by ``step_budget`` expansion steps per starting node,
-    and returns ``None`` when no sufficiently long path was found.
+    search starts from the ``attempts`` lowest ``(degree, label)`` qubits and
+    tries neighbours in the same order.  It is bounded by ``step_budget``
+    steps per starting node, and returns ``None`` when no sufficiently long
+    path was found.
     """
-    graph = coupling.graph()
     if length <= 0:
         return []
-    if length > graph.number_of_nodes():
+    num_qubits = coupling.num_qubits
+    if length > num_qubits:
         return None
-    nodes = sorted(graph.nodes, key=lambda n: (graph.degree[n], n))
-    starts = nodes[:attempts]
+    degree = [len(coupling.neighbors(q)) for q in range(num_qubits)]
+    by_degree = lambda q: (degree[q], q)
+    # Candidates of every qubit in ascending (degree, label) order, built once.
+    candidates = [sorted(coupling.neighbors(q), key=by_degree) for q in range(num_qubits)]
+    starts = sorted(range(num_qubits), key=by_degree)[:attempts]
 
     for start in starts:
         path = [start]
-        on_path = {start}
-        # Iterator stack: candidates still to try from each path position.
-        stack = [iter(sorted(graph.neighbors(start), key=lambda n: (graph.degree[n], n)))]
-        steps = 0
-        while stack and steps < step_budget:
-            steps += 1
-            try:
-                candidate = next(stack[-1])
-            except StopIteration:
-                stack.pop()
-                on_path.discard(path.pop())
-                continue
-            if candidate in on_path:
-                continue
-            path.append(candidate)
-            on_path.add(candidate)
-            if len(path) >= length:
-                return path
-            stack.append(
-                iter(sorted(graph.neighbors(candidate), key=lambda n: (graph.degree[n], n)))
-            )
+        if length == 1:
+            return path
+        on_path = bytearray(num_qubits)
+        on_path[start] = 1
+        # Iterator stack: candidates still to try from each path position,
+        # with the innermost one held in ``top``.  Every iteration costs one
+        # step: a backtrack, a skipped on-path candidate or an extension.
+        top = iter(candidates[start])
+        stack = []
+        for _ in range(step_budget):
+            candidate = next(top, None)
+            if candidate is None:
+                on_path[path.pop()] = 0
+                if not stack:
+                    break
+                top = stack.pop()
+            elif not on_path[candidate]:
+                path.append(candidate)
+                on_path[candidate] = 1
+                if len(path) >= length:
+                    return path
+                stack.append(top)
+                top = iter(candidates[candidate])
     return None
 
 
 def _interaction_order(circuit: QuantumCircuit) -> list[int]:
-    """Virtual qubits ordered by a BFS over the interaction graph."""
+    """Every virtual qubit, BFS-ordered over the interaction graph (idle ones last)."""
     adjacency = circuit.interaction_graph()
     order: list[int] = []
     seen: set[int] = set()
@@ -152,10 +161,10 @@ def _interaction_order(circuit: QuantumCircuit) -> list[int]:
     for root in pending:
         if root in seen:
             continue
-        queue = [root]
+        queue = deque([root])
         seen.add(root)
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             order.append(node)
             for neighbour in sorted(adjacency[node]):
                 if neighbour not in seen:
@@ -196,7 +205,6 @@ def choose_layout(
         path = find_long_path(coupling, width)
         if path is not None:
             order = _interaction_order(circuit)
-            order += [q for q in range(width) if q not in set(order)]
             return Layout({virtual: path[i] for i, virtual in enumerate(order)})
         method = "dense"
 
@@ -221,9 +229,9 @@ def choose_layout(
     # Physical placement order: BFS from the highest-degree node of the region.
     start = max(region, key=lambda n: sub.degree[n])
     physical_order = list(nx.bfs_tree(sub, start))
-    physical_order += [n for n in region if n not in set(physical_order)]
+    placed = set(physical_order)
+    physical_order += [n for n in region if n not in placed]
     virtual_order = _interaction_order(circuit)
-    virtual_order += [q for q in range(width) if q not in set(virtual_order)]
     return Layout(
         {virtual: physical_order[i] for i, virtual in enumerate(virtual_order)}
     )

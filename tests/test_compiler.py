@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuits.benchmarks import build_benchmark, ghz
 from repro.circuits.circuit import QuantumCircuit
@@ -12,6 +15,8 @@ from repro.compiler.layout import Layout, choose_layout, find_long_path, is_chai
 from repro.compiler.metrics import gate_metrics
 from repro.compiler.routing import route_circuit
 from repro.compiler.transpile import transpile
+from repro.core.chiplet import ChipletDesign
+from repro.core.mcm import MCMDesign
 from repro.simulation.statevector import simulate
 from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
@@ -116,6 +121,160 @@ class TestLayout:
         circuit = build_benchmark("qaoa", 8, seed=1)
         layout = choose_layout(circuit, coupling, method="noise", edge_errors=errors)
         assert len({layout.physical(v) for v in range(8)}) == 8
+
+
+def _find_long_path_reference(
+    coupling: CouplingMap,
+    length: int,
+    attempts: int = 12,
+    step_budget: int = 200_000,
+) -> list[int] | None:
+    """The networkx-based search ``find_long_path`` must reproduce step for step.
+
+    Kept verbatim (apart from this docstring) so the parity tests below pin the
+    visit order and the step budget.  Its one known defect: ``length == 1``
+    returns two qubits, so the parity tests leave that length out.
+    """
+    graph = coupling.graph()
+    if length <= 0:
+        return []
+    if length > graph.number_of_nodes():
+        return None
+    nodes = sorted(graph.nodes, key=lambda n: (graph.degree[n], n))
+    starts = nodes[:attempts]
+
+    for start in starts:
+        path = [start]
+        on_path = {start}
+        # Iterator stack: candidates still to try from each path position.
+        stack = [iter(sorted(graph.neighbors(start), key=lambda n: (graph.degree[n], n)))]
+        steps = 0
+        while stack and steps < step_budget:
+            steps += 1
+            try:
+                candidate = next(stack[-1])
+            except StopIteration:
+                stack.pop()
+                on_path.discard(path.pop())
+                continue
+            if candidate in on_path:
+                continue
+            path.append(candidate)
+            on_path.add(candidate)
+            if len(path) >= length:
+                return path
+            stack.append(
+                iter(sorted(graph.neighbors(candidate), key=lambda n: (graph.degree[n], n)))
+            )
+    return None
+
+
+@st.composite
+def small_couplings(draw) -> CouplingMap:
+    """A random coupling map of up to 8 qubits, isolated qubits allowed."""
+    num_qubits = draw(st.integers(min_value=1, max_value=8))
+    pairs = list(itertools.combinations(range(num_qubits), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return CouplingMap(num_qubits, [pair for pair, k in zip(pairs, keep) if k])
+
+
+def _has_simple_path(coupling: CouplingMap, length: int) -> bool:
+    """Brute force: does any simple path visit exactly ``length`` qubits?"""
+    return any(
+        all(coupling.has_edge(a, b) for a, b in zip(path, path[1:]))
+        for path in itertools.permutations(range(coupling.num_qubits), length)
+    )
+
+
+@pytest.fixture(scope="module")
+def fig10_mcm_couplings() -> list[CouplingMap]:
+    """The 160- and 360-qubit square MCMs of 40-qubit chiplets (Fig. 10)."""
+    chiplet = ChipletDesign.build(40)
+    return [MCMDesign.build(chiplet, n, n).coupling_map() for n in (2, 3)]
+
+
+class TestFindLongPath:
+    def test_length_one_is_the_first_start(self):
+        # Qubit 4 is isolated, so it is the lowest (degree, label) start.
+        coupling = CouplingMap(5, [(0, 1), (1, 2), (2, 3)])
+        assert find_long_path(coupling, 1) == [4]
+        assert find_long_path(coupling, 1, attempts=0) is None
+
+    @staticmethod
+    def assert_same_budget_boundary(coupling: CouplingMap, length: int) -> None:
+        """Both searches first succeed at the same step budget, on the same path."""
+        low, high = 1, 4096
+        while low < high:  # bisect: success is monotone in the budget
+            mid = (low + high) // 2
+            if _find_long_path_reference(coupling, length, step_budget=mid) is None:
+                low = mid + 1
+            else:
+                high = mid
+        expected = _find_long_path_reference(coupling, length, step_budget=low)
+        assert expected is not None
+        assert find_long_path(coupling, length, step_budget=low) == expected
+        assert find_long_path(coupling, length, step_budget=low - 1) is None
+
+    @pytest.mark.parametrize("num_qubits", [27, 65, 127])
+    def test_parity_on_heavy_hex(self, num_qubits):
+        coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(num_qubits))
+        for length in (num_qubits // 2, int(0.8 * num_qubits)):
+            expected = _find_long_path_reference(coupling, length)
+            assert expected is not None
+            assert find_long_path(coupling, length) == expected
+        self.assert_same_budget_boundary(coupling, int(0.8 * num_qubits))
+        # A Hamiltonian path is out of reach: exhaust a cut budget on every start.
+        assert _find_long_path_reference(coupling, num_qubits, step_budget=2000) is None
+        assert find_long_path(coupling, num_qubits, step_budget=2000) is None
+
+    def test_parity_on_fig10_mcms(self, fig10_mcm_couplings):
+        for coupling in fig10_mcm_couplings:
+            # At the Fig. 10 size (80 %) every start exhausts a cut budget,
+            # as it does the full one.
+            length = int(round(0.8 * coupling.num_qubits))
+            for step_budget in (1, 3000):
+                assert _find_long_path_reference(coupling, length, step_budget=step_budget) is None
+                assert find_long_path(coupling, length, step_budget=step_budget) is None
+            # At 60 % the search backtracks for hundreds of steps, then succeeds.
+            self.assert_same_budget_boundary(coupling, int(0.6 * coupling.num_qubits))
+
+    @settings(deadline=None)
+    @given(
+        coupling=small_couplings(),
+        data=st.data(),
+        attempts=st.integers(min_value=0, max_value=4),
+        step_budget=st.integers(min_value=0, max_value=60),
+    )
+    def test_parity_on_random_graphs(self, coupling, data, attempts, step_budget):
+        lengths = [n for n in range(coupling.num_qubits + 2) if n != 1]
+        length = data.draw(st.sampled_from(lengths))
+        assert find_long_path(
+            coupling, length, attempts=attempts, step_budget=step_budget
+        ) == _find_long_path_reference(
+            coupling, length, attempts=attempts, step_budget=step_budget
+        )
+
+    @settings(deadline=None)
+    @given(
+        coupling=small_couplings(),
+        data=st.data(),
+        attempts=st.integers(min_value=0, max_value=4),
+        step_budget=st.integers(min_value=0, max_value=60),
+    )
+    def test_result_is_a_simple_coupled_path(self, coupling, data, attempts, step_budget):
+        num_qubits = coupling.num_qubits
+        length = data.draw(st.integers(min_value=0, max_value=num_qubits + 1))
+        # Every start and a budget no 8-qubit search can exhaust.
+        exhaustive = find_long_path(coupling, length, attempts=num_qubits, step_budget=10**6)
+        assert (exhaustive is None) == (
+            length > num_qubits or not _has_simple_path(coupling, length)
+        )
+        limited = find_long_path(coupling, length, attempts=attempts, step_budget=step_budget)
+        for path in (exhaustive, limited):
+            if path is not None:
+                assert len(path) == length
+                assert len(set(path)) == length
+                assert all(coupling.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
 class TestRouting:
