@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -114,6 +115,17 @@ from repro.stats import StatsOptions
 from repro.tuning import STRATEGIES, TuningOptions
 
 __all__ = ["main"]
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--max-shift-mhz",
-        type=float,
+        type=_finite_float,
         default=None,
         help="tuner reach: largest intended per-qubit shift in MHz "
         "(implies --tuning greedy when no strategy is given)",

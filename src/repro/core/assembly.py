@@ -36,7 +36,7 @@ from repro.core.fabrication import FabricationModel
 from repro.core.mcm import MCMDesign
 from repro.device.device import Device
 from repro.device.noise import EmpiricalCXModel, LinkErrorModel
-from repro.tuning import TuningOptions, repair_batch
+from repro.tuning.repair import TuningOptions, repair_batch
 
 __all__ = [
     "FabricatedChiplet",

@@ -76,7 +76,7 @@ from repro.stats import (
     chunk_seed,
 )
 from repro.topology.base import Lattice
-from repro.tuning import TuningOptions, repair_batch
+from repro.tuning.repair import TuningOptions, repair_batch
 
 __all__ = [
     "YieldResult",

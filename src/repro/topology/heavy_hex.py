@@ -27,6 +27,7 @@ connected.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -68,10 +69,12 @@ def heavy_hex_qubit_count(rows: int, cols: int) -> int:
     """Total number of qubits of an *untrimmed* ``rows x cols`` lattice."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
-    total = rows * cols
-    for bridge_row in range(rows - 1):
-        total += len(bridge_columns(cols, bridge_row))
-    return total
+    # rows - 1 bridge rows alternate offsets 0 and 2 (see bridge_columns):
+    # rows // 2 of them hold ceil(cols / 4) bridges, the other
+    # (rows - 1) // 2 hold ceil((cols - 2) / 4).
+    return rows * cols + (rows // 2) * ((cols + 3) // 4) + ((rows - 1) // 2) * (
+        (cols + 1) // 4
+    )
 
 
 @dataclass
@@ -187,21 +190,24 @@ def _trim_to_count(lattice: HeavyHexLattice, target: int) -> HeavyHexLattice | N
 
 
 def _candidate_shapes(target: int) -> Iterable[tuple[int, int, int]]:
-    """Yield (excess, rows, cols) candidates able to cover ``target`` qubits."""
+    """Yield (excess, rows, cols) candidates able to cover ``target`` qubits.
+
+    Per row count only the smallest adequate column count is a candidate,
+    and only while trimming it back to ``target`` stays modest.
+    """
+    columns = range(2, 80)
     for rows in range(1, 40):
-        for cols in range(2, 80):
-            count = heavy_hex_qubit_count(rows, cols)
-            if count < target:
-                continue
-            excess = count - target
-            if excess > max(8, target // 4):
-                # Far too big: trimming this much would distort the lattice.
-                if cols > 2 and heavy_hex_qubit_count(rows, cols - 1) >= target:
-                    continue
-                if excess > max(12, target // 3):
-                    continue
+        # The count grows strictly with cols: bisect for the first fit.
+        index = bisect_left(
+            columns, target, key=lambda cols: heavy_hex_qubit_count(rows, cols)
+        )
+        if index == len(columns):
+            continue
+        cols = columns[index]
+        excess = heavy_hex_qubit_count(rows, cols) - target
+        # Skip shapes so big that trimming them would distort the lattice.
+        if excess <= max(12, target // 3):
             yield excess, rows, cols
-            break  # Smallest adequate cols for this row count.
 
 
 def heavy_hex_by_qubit_count(

@@ -27,6 +27,11 @@ See the README's "Post-fabrication repair" section for how to add a
 strategy.
 """
 
+# Import order matters: repro.core's assembly and yield model import
+# repro.tuning.repair, and the tuning modules import from repro.core.
+# Loading repro.core before any tuning module lets it import those
+# modules whole, so a fresh ``import repro.tuning.graph`` works too.
+import repro.core  # noqa: F401
 from repro.tuning.graph import CollisionGraph
 from repro.tuning.models import (
     DEFAULT_MAX_SHIFT_GHZ,

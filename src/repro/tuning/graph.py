@@ -10,7 +10,9 @@ strategy can
 1. evaluate the full device once (vectorised over all edges/triples),
 2. locate the qubits participating in violated criteria, and
 3. after each candidate shift, re-check **only the touched criteria**
-   instead of the whole device.
+   instead of the whole device — a plain-Python count over per-qubit
+   constraint tables, since a few scalars per shot are far cheaper
+   outside numpy.
 
 The per-criterion formulas are the same as
 :func:`repro.core.collisions.collision_free_mask` — the graph counts one
@@ -21,6 +23,8 @@ authoritative batched mask.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -64,14 +68,26 @@ class CollisionGraph:
         self.triple_a = triples[:, 1] if triples.shape[0] else _EMPTY
         self.triple_b = triples[:, 2] if triples.shape[0] else _EMPTY
 
+        # Per-qubit incidence: the index lists behind touched(), and the
+        # same constraints as scalar tables for local_violations (edges as
+        # (control, target, a_control, a_target), triples as
+        # (c, a, b, a_c, a_a, a_b)) in Python ints and floats, so a
+        # re-check never crosses into numpy.
+        alpha = self.alpha.tolist()
         edge_lists: list[list[int]] = [[] for _ in range(self.num_qubits)]
-        for index in range(edges.shape[0]):
-            edge_lists[int(edges[index, 0])].append(index)
-            edge_lists[int(edges[index, 1])].append(index)
+        self._edge_terms: list[list[tuple]] = [[] for _ in range(self.num_qubits)]
+        for index, (u, v) in enumerate(edges.tolist()):
+            term = (u, v, alpha[u], alpha[v])
+            for qubit in (u, v):
+                edge_lists[qubit].append(index)
+                self._edge_terms[qubit].append(term)
         triple_lists: list[list[int]] = [[] for _ in range(self.num_qubits)]
-        for index in range(triples.shape[0]):
-            for qubit in triples[index]:
-                triple_lists[int(qubit)].append(index)
+        self._triple_terms: list[list[tuple]] = [[] for _ in range(self.num_qubits)]
+        for index, (c, a, b) in enumerate(triples.tolist()):
+            term = (c, a, b, alpha[c], alpha[a], alpha[b])
+            for qubit in (c, a, b):
+                triple_lists[qubit].append(index)
+                self._triple_terms[qubit].append(term)
         self._edges_by_qubit = [np.asarray(l, dtype=np.int64) for l in edge_lists]
         self._triples_by_qubit = [np.asarray(l, dtype=np.int64) for l in triple_lists]
         self._neighbors_by_qubit: list[np.ndarray] | None = None
@@ -216,12 +232,44 @@ class CollisionGraph:
             ]
         return self._neighbors_by_qubit[qubit]
 
-    def local_violations(self, frequencies: np.ndarray, qubit: int) -> int:
-        """Violated criteria among the constraints touching ``qubit``."""
-        edge_idx, triple_idx = self.touched(qubit)
-        return self.edge_violations(frequencies, edge_idx) + self.triple_violations(
-            frequencies, triple_idx
-        )
+    def local_violations(self, frequencies: Sequence[float], qubit: int) -> int:
+        """Violated criteria among the constraints touching ``qubit``.
+
+        The repair strategies' per-shot re-check.  ``frequencies`` is a
+        sequence indexed by qubit (the strategies pass a Python-list
+        mirror of their working array).  A handful of constraints touch
+        one qubit, so this is a plain-Python count over the per-qubit
+        tables rather than a numpy pass; it applies the same float64
+        operations in the same order as :meth:`edge_violations` and
+        :meth:`triple_violations` over :meth:`touched`, so the count is
+        identical, not just close.
+        """
+        th = self.thresholds
+        type1, type2, type3 = th.type1_ghz, th.type2_ghz, th.type3_ghz
+        type5, type6, type7 = th.type5_ghz, th.type6_ghz, th.type7_ghz
+        count = 0
+        for control, target, ai, aj in self._edge_terms[qubit]:
+            fi = frequencies[control]
+            fj = frequencies[target]
+            if abs(fi - fj) < type1:
+                count += 1
+            if abs(fi + ai / 2.0 - fj) < type2:
+                count += 1
+            if abs(fi - (fj + aj)) < type3 or abs(fj - (fi + ai)) < type3:
+                count += 1
+            if fj < fi + ai or fi < fj:
+                count += 1
+        for control, t_a, t_b, ai, aj, ak in self._triple_terms[qubit]:
+            fi = frequencies[control]
+            fj = frequencies[t_a]
+            fk = frequencies[t_b]
+            if abs(fj - fk) < type5:
+                count += 1
+            if abs(fj - (fk + ak)) < type6 or abs(fk - (fj + aj)) < type6:
+                count += 1
+            if abs(2.0 * fi + ai - (fj + fk)) < type7:
+                count += 1
+        return count
 
     def per_qubit_violations(self, frequencies: np.ndarray) -> np.ndarray:
         """Number of violated criteria each qubit participates in.

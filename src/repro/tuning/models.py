@@ -22,6 +22,7 @@ the yield pipeline threads it through :class:`repro.tuning.TuningOptions`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -66,10 +67,12 @@ class TunerModel:
     max_tunes_per_qubit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_shift_ghz < 0:
-            raise ValueError("max_shift_ghz must be non-negative")
-        if self.precision_sigma_ghz < 0:
-            raise ValueError("precision_sigma_ghz must be non-negative")
+        # ``not 0 <= x < inf`` also rejects NaN, which every comparison
+        # (and so every Table I criterion) would silently pass.
+        if not 0 <= self.max_shift_ghz < math.inf:
+            raise ValueError("max_shift_ghz must be finite and non-negative")
+        if not 0 <= self.precision_sigma_ghz < math.inf:
+            raise ValueError("precision_sigma_ghz must be finite and non-negative")
         if self.max_tunes_per_qubit is not None and self.max_tunes_per_qubit < 0:
             raise ValueError("max_tunes_per_qubit must be non-negative or None")
 

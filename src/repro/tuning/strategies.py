@@ -25,9 +25,10 @@ Two strategies ship:
     Retune the most-collided qubits toward their design frequency,
     accepting each shot only when the violated criteria among the
     *touched* constraints strictly decrease (everything untouched is
-    invariant, so the device total strictly decreases too).  Vectorised:
-    the full device is scored in one pass per round and every candidate
-    re-check evaluates only the incident edge/triple subsets.
+    invariant, so the device total strictly decreases too).  The full
+    device is scored in one vectorised pass per round; every candidate
+    re-check is a scalar count over the qubit's incident edges and
+    triples (:meth:`CollisionGraph.local_violations`).
 
 :class:`AnnealingRepair`
     Seeded simulated annealing over bounded per-qubit shifts with a
@@ -151,8 +152,8 @@ class GreedyLocalRepair:
     through one ``batch_total_violations`` call), falling back to scalar
     re-checks only for qubits whose criteria an earlier accept in the
     same round has dirtied.  Accepts, landing points and rng consumption
-    are bit-identical to the scalar reference loop
-    (:meth:`_repair_reference`), which the parity suite pins.
+    are bit-identical to the historical one-candidate-at-a-time loop,
+    which ``tests/test_repair_vectorized.py`` keeps as its parity oracle.
 
     Attributes
     ----------
@@ -186,6 +187,9 @@ class GreedyLocalRepair:
         budget = tuner.budget_for(graph.num_qubits)
         as_fab = frequencies.astype(float, copy=True)
         repaired = as_fab.copy()
+        # Python-list mirror of ``repaired`` for the scalar re-checks;
+        # a shot is tried on the mirror and written to both on accept.
+        mirror = repaired.tolist()
         tunes = np.zeros(graph.num_qubits, dtype=np.int64)
         total = initial
         sigma = tuner.precision_sigma_ghz
@@ -195,6 +199,7 @@ class GreedyLocalRepair:
         # the as-fabricated baseline clipped to the tuner's reach.  The
         # scalar reference computes exactly these values one at a time.
         targets = as_fab + np.clip(graph.ideal - as_fab, -reach, reach)
+        target_list = targets.tolist()
 
         for _ in range(self.max_rounds):
             # Staged screen: one vectorised pass scores every qubit's
@@ -222,18 +227,15 @@ class GreedyLocalRepair:
                 )
             improved = False
             dirty = np.zeros(graph.num_qubits, dtype=bool)
-            for position, qubit in enumerate(ranked):
-                qubit = int(qubit)
+            per_qubit_list = per_qubit.tolist()
+            for position, qubit in enumerate(ranked.tolist()):
                 if tunes[qubit] >= budget:
                     continue
-                is_dirty = bool(dirty[qubit])
+                is_dirty = dirty[qubit]
                 if is_dirty:
-                    edge_idx, triple_idx = graph.touched(qubit)
-                    before = graph.edge_violations(
-                        repaired, edge_idx
-                    ) + graph.triple_violations(repaired, triple_idx)
+                    before = graph.local_violations(mirror, qubit)
                 else:
-                    before = int(per_qubit[qubit])
+                    before = per_qubit_list[qubit]
                 if before == 0:
                     continue  # already fixed by an earlier shift this round
                 # The actuation-noise draw must stay a per-candidate
@@ -243,108 +245,21 @@ class GreedyLocalRepair:
                 noise = rng.normal(0.0, sigma) if sigma > 0 else 0.0
                 if after_screen is not None and not is_dirty:
                     after = int(after_screen[position])
-                    accepted = after < before
-                    if accepted:
-                        repaired[qubit] = targets[qubit]
+                    landing = target_list[qubit]
                 else:
-                    if not is_dirty:
-                        edge_idx, triple_idx = graph.touched(qubit)
-                    previous = repaired[qubit]
-                    repaired[qubit] = targets[qubit] + noise
-                    after = graph.edge_violations(
-                        repaired, edge_idx
-                    ) + graph.triple_violations(repaired, triple_idx)
-                    accepted = after < before
-                    if not accepted:
-                        repaired[qubit] = previous
-                if accepted:
+                    previous = mirror[qubit]
+                    landing = target_list[qubit] + noise
+                    mirror[qubit] = landing
+                    after = graph.local_violations(mirror, qubit)
+                    mirror[qubit] = previous
+                if after < before:
+                    repaired[qubit] = mirror[qubit] = landing
                     tunes[qubit] += 1
                     total += after - before
                     improved = True
                     dirty[graph.constraint_neighbors(qubit)] = True
                     if total == 0:
                         break
-            if total == 0 or not improved:
-                break
-
-        if not tunes.any():
-            return _noop(frequencies, initial)
-        return RepairOutcome(
-            frequencies=repaired,
-            violations_before=initial,
-            violations_after=graph.total_violations(repaired),
-            tuned_qubits=int((tunes > 0).sum()),
-            total_tunes=int(tunes.sum()),
-            tuned_qubit_indices=tuple(np.flatnonzero(tunes > 0).tolist()),
-        )
-
-    def _repair_reference(
-        self,
-        graph: CollisionGraph,
-        frequencies: np.ndarray,
-        tuner: TunerModel,
-        rng: np.random.Generator,
-        initial_violations: int | None = None,
-    ) -> RepairOutcome:
-        """The historical scalar loop, kept verbatim as the parity oracle.
-
-        ``repair`` must match this qubit-for-qubit: same accepts, same
-        landing points, same rng stream.  The parity suite drives both
-        over random collided batches and compares outcomes *and* final
-        generator states.
-        """
-        initial = (
-            initial_violations
-            if initial_violations is not None
-            else graph.total_violations(frequencies)
-        )
-        if initial == 0 or tuner.is_noop:
-            return _noop(frequencies, initial)
-
-        budget = tuner.budget_for(graph.num_qubits)
-        as_fab = frequencies.astype(float, copy=True)
-        repaired = as_fab.copy()
-        tunes = np.zeros(graph.num_qubits, dtype=np.int64)
-        total = initial
-        sigma = tuner.precision_sigma_ghz
-        reach = tuner.max_shift_ghz
-
-        for _ in range(self.max_rounds):
-            per_qubit = graph.per_qubit_violations(repaired)
-            order = np.argsort(-per_qubit, kind="stable")
-            improved = False
-            for qubit in order:
-                qubit = int(qubit)
-                if per_qubit[qubit] == 0:
-                    break  # descending order: the rest are collision-free
-                if tunes[qubit] >= budget:
-                    continue
-                edge_idx, triple_idx = graph.touched(qubit)
-                before = graph.edge_violations(
-                    repaired, edge_idx
-                ) + graph.triple_violations(repaired, triple_idx)
-                if before == 0:
-                    continue  # already fixed by an earlier shift this round
-                # Aim at the design frequency; the tuner bounds the total
-                # intended displacement from the as-fabricated frequency
-                # and its actuation noise blurs the landing point.
-                intended_total = float(
-                    np.clip(graph.ideal[qubit] - as_fab[qubit], -reach, reach)
-                )
-                noise = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-                previous = repaired[qubit]
-                repaired[qubit] = as_fab[qubit] + intended_total + noise
-                after = graph.edge_violations(
-                    repaired, edge_idx
-                ) + graph.triple_violations(repaired, triple_idx)
-                if after < before:
-                    tunes[qubit] += 1
-                    total += after - before
-                    improved = True
-                    if total == 0:
-                        break
-                else:
-                    repaired[qubit] = previous
             if total == 0 or not improved:
                 break
 
@@ -411,6 +326,9 @@ class AnnealingRepair:
         budget = tuner.budget_for(graph.num_qubits)
         as_fab = frequencies.astype(float, copy=True)
         work = as_fab.copy()
+        # Python-list mirror of ``work`` for the scalar re-checks; a
+        # proposal is tried on the mirror and written to both on accept.
+        mirror = work.tolist()
         tunes = np.zeros(graph.num_qubits, dtype=np.int64)
         energy = initial
         best = None
@@ -430,17 +348,13 @@ class AnnealingRepair:
             qubit = int(candidates[rng.integers(candidates.size)])
             shift = rng.uniform(-reach, reach)
             noise = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-            edge_idx, triple_idx = graph.touched(qubit)
-            before = graph.edge_violations(
-                work, edge_idx
-            ) + graph.triple_violations(work, triple_idx)
-            previous = work[qubit]
-            work[qubit] = as_fab[qubit] + shift + noise
-            after = graph.edge_violations(
-                work, edge_idx
-            ) + graph.triple_violations(work, triple_idx)
+            before = graph.local_violations(mirror, qubit)
+            previous = mirror[qubit]
+            landing = mirror[qubit] = float(as_fab[qubit]) + shift + noise
+            after = graph.local_violations(mirror, qubit)
             delta = after - before
             if delta <= 0 or rng.random() < np.exp(-delta / max(temperature, 1e-9)):
+                work[qubit] = landing
                 tunes[qubit] += 1
                 energy += delta
                 if energy < best_energy:
@@ -448,7 +362,7 @@ class AnnealingRepair:
                     best = work.copy()
                     best_tunes = tunes.copy()
             else:
-                work[qubit] = previous
+                mirror[qubit] = previous
             temperature *= self.cooling
 
         if best is None:

@@ -174,6 +174,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "as-fab" in out and "repaired" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_max_shift_is_an_argparse_error(self, value, capsys):
+        args = ["run", "tunedyield", "--batch", "10", "--jobs", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, f"--max-shift-mhz={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-shift-mhz: must be a finite number" in err
+        assert "Traceback" not in err
+
     def test_repair_budget_zero_is_noop_baseline(self, capsys):
         args = [
             "run", "fig4", "--batch", "80", "--jobs", "1", "--seed", "3", "--quiet",

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+from typing import Iterable
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.topology import heavy_hex
 from repro.topology.heavy_hex import (
     build_heavy_hex,
     bridge_columns,
@@ -43,8 +47,9 @@ class TestQubitCount:
             assert lattice.num_qubits == heavy_hex_qubit_count(rows, cols)
 
     def test_rejects_non_positive_dimensions(self):
-        with pytest.raises(ValueError):
-            heavy_hex_qubit_count(0, 5)
+        for rows, cols in [(0, 5), (5, 0), (-1, 3)]:
+            with pytest.raises(ValueError):
+                heavy_hex_qubit_count(rows, cols)
 
 
 class TestBuildHeavyHex:
@@ -142,3 +147,68 @@ class TestHeavyHexByQubitCount:
         bridges = set(lattice.bridge_qubits())
         for u, v in lattice.edges:
             assert not (u in bridges and v in bridges)
+
+
+# The size search as it was before the closed-form count, kept verbatim
+# (under reference names) as the parity oracle for the closed-form count
+# and the bisecting candidate search.  The count is memoised here only so
+# the 4000-target parity sweep runs in seconds.
+@functools.cache
+def _heavy_hex_qubit_count_reference(rows: int, cols: int) -> int:
+    """Total number of qubits of an *untrimmed* ``rows x cols`` lattice."""
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be positive")
+    total = rows * cols
+    for bridge_row in range(rows - 1):
+        total += len(bridge_columns(cols, bridge_row))
+    return total
+
+
+def _candidate_shapes_reference(target: int) -> Iterable[tuple[int, int, int]]:
+    """Yield (excess, rows, cols) candidates able to cover ``target`` qubits."""
+    for rows in range(1, 40):
+        for cols in range(2, 80):
+            count = _heavy_hex_qubit_count_reference(rows, cols)
+            if count < target:
+                continue
+            excess = count - target
+            if excess > max(8, target // 4):
+                # Far too big: trimming this much would distort the lattice.
+                if cols > 2 and _heavy_hex_qubit_count_reference(rows, cols - 1) >= target:
+                    continue
+                if excess > max(12, target // 3):
+                    continue
+            yield excess, rows, cols
+            break  # Smallest adequate cols for this row count.
+
+
+def _shape(lattice):
+    return (lattice.rows, lattice.cols, lattice.sites, lattice.edges, lattice.name)
+
+
+class TestSizeSearchParity:
+    def test_closed_form_count_matches_reference(self):
+        for rows in range(1, 45):
+            for cols in range(1, 90):
+                assert heavy_hex_qubit_count(rows, cols) == (
+                    _heavy_hex_qubit_count_reference(rows, cols)
+                ), (rows, cols)
+
+    def test_candidate_shapes_match_reference(self):
+        for target in range(2, 4000):
+            assert list(heavy_hex._candidate_shapes(target)) == list(
+                _candidate_shapes_reference(target)
+            ), target
+
+    @pytest.mark.parametrize(
+        "targets", [range(2, 200), range(200, 1201, 37)], ids=["2-199", "stride-to-1200"]
+    )
+    def test_lattices_match_reference_search(self, monkeypatch, targets):
+        fast = [_shape(heavy_hex_by_qubit_count(t)) for t in targets]
+        monkeypatch.setattr(heavy_hex, "_candidate_shapes", _candidate_shapes_reference)
+        assert fast == [_shape(heavy_hex_by_qubit_count(t)) for t in targets]
+
+    def test_search_bounds_still_raise(self):
+        # Past the 39 x 79 search box no shape covers the target.
+        with pytest.raises(ValueError):
+            heavy_hex_by_qubit_count(_heavy_hex_qubit_count_reference(39, 79) + 1)

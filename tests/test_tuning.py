@@ -67,6 +67,16 @@ class TestTunerModel:
         with pytest.raises(ValueError):
             TunerModel(max_tunes_per_qubit=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["max_shift_ghz", "precision_sigma_ghz"])
+    def test_rejects_non_finite(self, field, value):
+        # NaN fails every comparison, so it used to pass validation and
+        # then write NaN frequencies that no Table I criterion flags.
+        with pytest.raises(ValueError, match="finite"):
+            TunerModel(**{field: value})
+        with pytest.raises(ValueError, match="finite"):
+            TuningOptions.build(**{field: value})
+
     def test_noop_conditions(self):
         assert TunerModel(max_shift_ghz=0.0).is_noop
         assert TunerModel(max_tunes_per_qubit=0).is_noop
